@@ -136,7 +136,7 @@ func BenchmarkRuntimeDecision(b *testing.B) {
 }
 
 // BenchmarkMigrationPath measures the helper-thread migration machinery
-// (enqueue -> real copy -> sync) end to end.
+// (enqueue -> heap move -> sync) end to end.
 func BenchmarkMigrationPath(b *testing.B) {
 	m := unimem.PlatformA().WithNVMBandwidthFraction(0.5)
 	cfg := unimem.DefaultConfig()

@@ -37,7 +37,7 @@
 // and a metrics-enabled server, reported as a relative slowdown — the
 // ≤2% budget artifact (BENCH_serve.json).
 //
-// -bench fastpath measures the analytic fast path's wall-clock speedup
+// -bench fastpath measures the steady-state fast path's wall-clock speedup
 // over exact event-driven simulation on long stationary runs, while
 // differentially verifying the two produce identical results — the
 // BENCH_fastpath.json artifact. -check gates the worst cell against an

@@ -71,8 +71,6 @@ type ManagerFactory func(rank int) Manager
 type Options struct {
 	Ranks        int
 	RanksPerNode int // default 1 (the paper's experiments use 1 task/node)
-	// MaterializeCap bounds real backing per chunk (0: memsys default).
-	MaterializeCap int64
 	// ChunkSize overrides the default partition granularity.
 	ChunkSize int64
 	Seed      uint64
@@ -87,7 +85,7 @@ type Options struct {
 	// baseline. Like Trace it never changes simulated time or results and
 	// is excluded from run-cache keys.
 	Explain *obs.Explain
-	// ExactSim disables the analytic fast path: every iteration is
+	// ExactSim disables the steady-state fast path: every iteration is
 	// simulated event by event even through provably stable windows.
 	// Results are byte-identical either way (the fast path only skips
 	// windows it can extrapolate exactly), so like Trace/Explain this is
@@ -95,7 +93,7 @@ type Options struct {
 	// and benchmarking.
 	ExactSim bool
 	// FastPath, when non-nil, receives the run's fast-path statistics
-	// (memo hits, simulated vs analytically skipped iterations). Never
+	// (memo hits, simulated vs fast-forwarded iterations). Never
 	// affects results; excluded from run-cache keys.
 	FastPath *FastPathStats
 }
@@ -217,7 +215,6 @@ func RunCtx(ctx context.Context, w *workloads.Workload, m *machine.Machine, opts
 	world.Run(func(c *mpisim.Comm) {
 		rank := c.Rank()
 		heap := memsys.NewHeap(m, nodes[rank/opts.RanksPerNode], memsys.HeapOptions{
-			MaterializeCap:   opts.MaterializeCap,
 			DefaultChunkSize: opts.ChunkSize,
 		})
 		rc := &RankCtx{Rank: rank, Mach: m, Heap: heap, Comm: c, W: w}

@@ -11,7 +11,7 @@ import (
 	"unimem/internal/workloads"
 )
 
-// This file is the harness half of the analytic fast path: per-rank
+// This file is the harness half of the steady-state fast path: per-rank
 // phase-outcome memoization (content x placement x machine keys into
 // phase.Memo) and steady-state fast-forward. When every rank votes — in
 // lockstep, through the simulator's zero-cost Poll rendezvous — that its
@@ -20,7 +20,8 @@ import (
 // deltas agree, the remaining iterations of the stable window (bounded
 // by a rank-independent forward scan over workload content keys) are
 // skipped: clocks, CommNS, per-phase means and manager bookkeeping are
-// advanced analytically in one step. Soundness: at a unanimous iteration
+// advanced in one step by the measured per-iteration deltas (no cost
+// model is evaluated). Soundness: at a unanimous iteration
 // boundary every inbox is empty and the run heap is quiescent, so with
 // equal per-rank advances the relative clock offsets — the only
 // cross-rank state — are preserved, and a skipped iteration would have
@@ -35,9 +36,9 @@ const (
 	fastPathStableIters = 3
 )
 
-// FastPather is the optional Manager extension the analytic fast path
+// FastPather is the optional Manager extension the steady-state fast path
 // requires: a manager that can certify quiescence and adjust its
-// bookkeeping when the harness skips iterations analytically. Managers
+// bookkeeping when the harness fast-forwards iterations. Managers
 // that do not implement it run exact simulation unconditionally.
 type FastPather interface {
 	// SteadyState reports that the manager will not change placement,
@@ -50,7 +51,7 @@ type FastPather interface {
 	FastForward(n int)
 }
 
-// FastPathStats summarizes the analytic fast path's work in one run.
+// FastPathStats summarizes the steady-state fast path's work in one run.
 // Memo counters aggregate across all ranks; the iteration counters are
 // rank 0's view (skips are unanimous, so every rank's counts agree).
 // All zeros when the fast path was disabled or never engaged.
@@ -58,8 +59,10 @@ type FastPathStats struct {
 	MemoHits       int64 `json:"memo_hits"`
 	MemoMisses     int64 `json:"memo_misses"`
 	SimulatedIters int64 `json:"simulated_iters"`
-	AnalyticIters  int64 `json:"analytic_iters"`
-	FastForwards   int64 `json:"fastforwards"`
+	// AnalyticIters counts fast-forwarded iterations; the name is kept
+	// for the analytic_iters JSON field and the /metrics mode label.
+	AnalyticIters int64 `json:"analytic_iters"`
+	FastForwards  int64 `json:"fastforwards"`
 }
 
 // add accumulates o into s; rank coroutines flush concurrently at rank

@@ -41,14 +41,6 @@ type Stats struct {
 	Writebacks int64
 }
 
-// MissRatio returns misses/accesses (0 when no accesses were made).
-func (s Stats) MissRatio() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 type line struct {
 	tag   int64
 	valid bool
@@ -65,10 +57,6 @@ type Cache struct {
 	nsets int64
 	tick  int64
 	stats Stats
-
-	// onMiss, when non-nil, is invoked with the missing address; the
-	// counter emulation uses it to attribute misses to objects.
-	onMiss func(addr int64, write bool)
 }
 
 // New returns a cache with the given geometry. It panics on degenerate
@@ -90,23 +78,8 @@ func New(cfg Config) *Cache {
 	return &Cache{cfg: cfg, sets: sets, nsets: nsets}
 }
 
-// OnMiss registers a callback invoked for every miss (after the line is
-// filled). Pass nil to disable.
-func (c *Cache) OnMiss(fn func(addr int64, write bool)) { c.onMiss = fn }
-
 // Stats returns a copy of the current counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// Reset clears the cache contents and counters.
-func (c *Cache) Reset() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = line{}
-		}
-	}
-	c.stats = Stats{}
-	c.tick = 0
-}
 
 // Touch performs one access and reports whether it missed.
 func (c *Cache) Touch(a Access) bool {
@@ -144,9 +117,6 @@ func (c *Cache) Touch(a Access) bool {
 	}
 fill:
 	set[victim] = line{tag: tag, valid: true, dirty: a.Write, lastUse: c.tick}
-	if c.onMiss != nil {
-		c.onMiss(a.Addr, a.Write)
-	}
 	return true
 }
 

@@ -231,23 +231,6 @@ func TestMoverStatsExposed(t *testing.T) {
 	}
 }
 
-func TestDeclareDep(t *testing.T) {
-	cfg := core.DefaultConfig()
-	var rt *core.Runtime
-	w := tinyWorkload(6)
-	_, err := app.Run(w, nvmMachine(), app.Options{Ranks: 1}, func(rank int) app.Manager {
-		rt = core.NewRuntime(rank, cfg)
-		rt.DeclareDep("hot", 1) // directive: phase 1 also touches hot
-		return rt
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Decisions != 1 {
-		t.Fatalf("decisions = %d", rt.Decisions)
-	}
-}
-
 func TestRuntimeOverheadWithinPaperBounds(t *testing.T) {
 	res, _ := run(t, tinyWorkload(40), nvmMachine(), core.DefaultConfig())
 	frac := res.Ranks[0].OverheadNS / float64(res.Ranks[0].TimeNS)

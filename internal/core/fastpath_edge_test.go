@@ -48,7 +48,7 @@ func driftyWorkload(iters, driftAt int) *workloads.Workload {
 
 // TestFastPathStationaryMatchesExact is the base differential: a
 // stationary run must produce byte-identical results with and without
-// the analytic fast path, and the fast path must actually engage (a
+// the steady-state fast path, and the fast path must actually engage (a
 // vacuously-equal pair proves nothing).
 func TestFastPathStationaryMatchesExact(t *testing.T) {
 	m := nvmMachine()

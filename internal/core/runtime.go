@@ -141,9 +141,6 @@ type Runtime struct {
 	// Candidates holds every plan the latest decision considered (for
 	// inspection tooling).
 	Candidates []*placement.Plan
-	// explicitDeps holds programmer-declared cross-phase dependences
-	// (directive API, §3.3): chunk -> extra phase IDs that reference it.
-	explicitDeps map[string][]int
 
 	// expl receives this rank's decision attribution (nil when disabled:
 	// every capture site below guards on it, so the disabled path costs
@@ -183,7 +180,6 @@ func NewRuntime(rank int, cfg Config) *Runtime {
 		oneShotTiered: make(map[int][]tieredMove),
 		chunkByName:   make(map[string]*memsys.Chunk),
 		chunkSize:     make(map[string]int64),
-		explicitDeps:  make(map[string][]int),
 		moveMeta:      make(map[uint64]moveMeta),
 	}
 }
@@ -225,19 +221,8 @@ func (r *Runtime) TierPlan() *placement.TieredPlan { return r.tierPlan }
 // TierResidencyBytes returns this rank's current resident bytes per tier.
 func (r *Runtime) TierResidencyBytes() []int64 { return r.heap.TierResidencyBytes() }
 
-// TierResidents returns chunk name -> current tier for this rank.
-func (r *Runtime) TierResidents() map[string]machine.TierKind { return r.heap.TierSnapshot() }
-
 // MoverStats exposes the helper thread's accounting.
 func (r *Runtime) MoverStats() mover.Stats { return r.mov.Stats() }
-
-// DeclareDep records a programmer directive that chunk is referenced by the
-// given phase ID even though profiling may not observe it (the paper's
-// directive-based dependency escape hatch). It conservatively shrinks
-// overlap windows for that chunk.
-func (r *Runtime) DeclareDep(chunk string, phaseID int) {
-	r.explicitDeps[chunk] = append(r.explicitDeps[chunk], phaseID)
-}
 
 // Setup implements app.Manager: unimem_init + the unimem_malloc calls,
 // applying the partitioning rule and initial data placement.
@@ -547,8 +532,8 @@ func (r *Runtime) decide(ctx *app.RankCtx) {
 		Phases:         make([]placement.PhaseData, len(phases)),
 		Resident:       r.heap.ResidencySnapshot(),
 		CopyTimeNS:     ctx.Mach.CopyTimeNS,
-		OverlapNS:      r.overlapNS,
-		TriggerPhase:   r.triggerPhase,
+		OverlapNS:      r.reg.OverlapWindowNS,
+		TriggerPhase:   r.reg.TriggerPhase,
 		References:     r.references,
 		AmortizeIters:  r.cfg.AmortizeIters,
 		NaivePredictor: r.cfg.NaivePredictor,
@@ -911,37 +896,11 @@ func (r *Runtime) firstReferencing(chunk string) int {
 	return 0
 }
 
-// overlapNS is the registry window shrunk by explicit dependence
-// directives.
-func (r *Runtime) overlapNS(chunk string, target int) float64 {
-	w := r.reg.OverlapWindowNS(chunk, target)
-	if len(r.explicitDeps[chunk]) > 0 {
-		// Conservative: any declared dependence halves the usable window.
-		w /= 2
-	}
-	return w
-}
-
-func (r *Runtime) triggerPhase(chunk string, target int) int {
-	return r.reg.TriggerPhase(chunk, target)
-}
-
-// references exposes the registry's profiled reference map (plus explicit
-// directives) to the placement searches.
+// references exposes the registry's profiled reference map to the
+// placement searches.
 func (r *Runtime) references(chunk string, phaseID int) bool {
 	phases := r.reg.Phases()
-	if phaseID < 0 || phaseID >= len(phases) {
-		return false
-	}
-	if phases[phaseID].References(chunk) {
-		return true
-	}
-	for _, pid := range r.explicitDeps[chunk] {
-		if pid == phaseID {
-			return true
-		}
-	}
-	return false
+	return phaseID >= 0 && phaseID < len(phases) && phases[phaseID].References(chunk)
 }
 
 // SteadyState implements app.FastPather: the runtime certifies a

@@ -47,13 +47,12 @@ type RunKey struct {
 	// Strategy identifies the placement policy ("static:dram-only",
 	// "static:pin:lhs", "xmem", ...).
 	Strategy string
-	// Ranks, RPN, Seed, MatCap and Chunk mirror the app.Options fields
-	// that influence the run.
-	Ranks  int
-	RPN    int
-	Seed   uint64
-	MatCap int64
-	Chunk  int64
+	// Ranks, RPN, Seed and Chunk mirror the app.Options fields that
+	// influence the run.
+	Ranks int
+	RPN   int
+	Seed  uint64
+	Chunk int64
 }
 
 // String renders the key as one stable line: every field in declaration
@@ -63,9 +62,9 @@ type RunKey struct {
 // lets independent daemons agree on a key's owning peer without
 // coordination.
 func (k RunKey) String() string {
-	return fmt.Sprintf("%s|%s|%s|%s|%d|%d|%d|%d|%d",
+	return fmt.Sprintf("%s|%s|%s|%s|%d|%d|%d|%d",
 		k.Workload, k.Spec, k.Machine, k.Strategy,
-		k.Ranks, k.RPN, k.Seed, k.MatCap, k.Chunk)
+		k.Ranks, k.RPN, k.Seed, k.Chunk)
 }
 
 // RouteKey derives the routing identity of one prospective run: the same
@@ -92,7 +91,6 @@ func keyFor(w *workloads.Workload, m *machine.Machine, strategy string, opts app
 		Ranks:    opts.Ranks,
 		RPN:      opts.RanksPerNode,
 		Seed:     opts.Seed,
-		MatCap:   opts.MaterializeCap,
 		Chunk:    opts.ChunkSize,
 	}
 }

@@ -165,7 +165,7 @@ type ExecInfo struct {
 	// in-flight) cache entry rather than a fresh execution. Always false
 	// for the Unimem strategy, which never caches.
 	CacheHit bool
-	// FastPath reports the analytic fast path's memo and fast-forward
+	// FastPath reports the steady-state fast path's memo and fast-forward
 	// counters for this execution. All zeros when the run was served from
 	// the cache (nothing executed), the strategy's manager cannot
 	// fast-forward, or the run opted out via Options.ExactSim.

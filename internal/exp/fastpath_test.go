@@ -14,7 +14,7 @@ import (
 // TestFastPathDifferentialRandomized is the randomized exact-vs-fast
 // differential suite: every generator archetype, under the full Unimem
 // runtime and the cache-exempt static baselines, must produce
-// byte-identical results with the analytic fast path on and off — and
+// byte-identical results with the steady-state fast path on and off — and
 // the fast path must have engaged somewhere, or the equality is vacuous.
 // The engine runs uncached so both sides really execute.
 func TestFastPathDifferentialRandomized(t *testing.T) {

@@ -14,11 +14,11 @@ import (
 	"unimem/internal/scenario"
 )
 
-// This file is the analytic fast path's wall-clock benchmark: matched
+// This file is the steady-state fast path's wall-clock benchmark: matched
 // exact-vs-fast executions of long stationary runs, the workload shape
 // the fast path exists for. Every pair also differentially verifies
 // byte-identity (a fast path that is fast but wrong must fail the bench,
-// not just the test suite), and the document records the analytic
+// not just the test suite), and the document records the fast-forwarded
 // fraction so a silently-disengaged fast path is visible as a speedup of
 // ~1 with AnalyticFrac ~0 rather than a mystery.
 
@@ -34,8 +34,8 @@ type FastpathBenchCell struct {
 	// Speedup is ExactNS/FastNS — machine-independent (both sides run in
 	// the same process on the same machine), which is what -check gates.
 	Speedup float64 `json:"speedup"`
-	// AnalyticFrac is the fraction of iterations the fast run skipped
-	// analytically (from the run's FastPathStats).
+	// AnalyticFrac is the fraction of iterations the fast run
+	// fast-forwarded (FastPathStats.AnalyticIters over all iterations).
 	AnalyticFrac float64 `json:"analytic_frac"`
 	MemoHits     int64   `json:"memo_hits"`
 	// Identical reports the differential verdict: the two results are
@@ -80,7 +80,7 @@ func fastpathBenchCells(quick bool) []struct {
 	}
 }
 
-// RunFastpathBench measures the analytic fast path's wall-clock speedup
+// RunFastpathBench measures the steady-state fast path's wall-clock speedup
 // over exact simulation on long stationary runs, differentially
 // verifying every pair. logf receives progress lines.
 func RunFastpathBench(quick bool, logf func(string, ...interface{})) (*FastpathBenchDoc, error) {
@@ -107,12 +107,8 @@ func RunFastpathBench(quick bool, logf func(string, ...interface{})) (*FastpathB
 		run := func(exact bool) (*app.Result, app.FastPathStats, time.Duration, error) {
 			var st app.FastPathStats
 			start := time.Now()
-			// The tight MaterializeCap (applied to both sides) keeps real
-			// memory zeroing — a fixed per-run cost unrelated to what this
-			// bench measures — from flattering or masking the ratio.
 			res, _, err := eng.Execute(ctx, w, c.m, StrategyUnimem(), cfg,
-				app.Options{Ranks: spec.Ranks, ExactSim: exact, FastPath: &st,
-					MaterializeCap: 64 << 10})
+				app.Options{Ranks: spec.Ranks, ExactSim: exact, FastPath: &st})
 			return res, st, time.Since(start), err
 		}
 		// Warm the engine's memoized calibration so neither side pays it.

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"unimem/internal/app"
+	"unimem/internal/core"
 	"unimem/internal/machine"
 	"unimem/internal/workloads"
 )
@@ -234,5 +236,59 @@ func TestRouteKeyStableAndCacheAligned(t *testing.T) {
 	dram := RouteKey(w, m, StrategyDRAMOnly(), false, app.Options{Seed: 1})
 	if dram == a {
 		t.Fatalf("RouteKey did not apply the strategy's machine derivation")
+	}
+}
+
+// TestMergeSnapshotAcceptsLegacyMatCapKeys: version-1 snapshots written
+// before RunKey dropped its always-zero MatCap field carry "MatCap":0 in
+// every key. They must still merge, and the merged entry must answer the
+// same request as a cache hit with the same result.
+func TestMergeSnapshotAcceptsLegacyMatCapKeys(t *testing.T) {
+	ctx := context.Background()
+	w := workloads.NewCG("A", 2)
+	m := machine.PlatformA()
+	srcCache := NewRunCache()
+	src := NewEngine(true, srcCache)
+	want, _, err := src.Execute(ctx, w, m, StrategyXMem(), core.DefaultConfig(), app.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := srcCache.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	entries := doc["entries"].([]any)
+	if len(entries) == 0 {
+		t.Fatal("snapshot holds no entries")
+	}
+	for _, e := range entries {
+		e.(map[string]any)["key"].(map[string]any)["MatCap"] = 0
+	}
+	legacy, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(legacy, []byte(`"MatCap":0`)) || !bytes.Contains(legacy, []byte(`"version":1`)) {
+		t.Fatalf("legacy document lacks the version-1 MatCap key: %s", legacy)
+	}
+
+	cache := NewRunCache()
+	if st, err := cache.MergeSnapshot(legacy); err != nil || st.Added != len(entries) {
+		t.Fatalf("merge: %+v, %v", st, err)
+	}
+	dst := NewEngine(true, cache)
+	got, _, info, err := dst.ExecuteInfo(ctx, w, m, StrategyXMem(), core.DefaultConfig(), app.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.CacheHit || cache.Stats().Misses != 0 {
+		t.Fatalf("legacy entry not served as a hit: hit=%v stats=%+v", info.CacheHit, cache.Stats())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("legacy entry answered with a different result")
 	}
 }

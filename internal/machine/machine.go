@@ -368,12 +368,6 @@ func (m *Machine) WithDRAMCapacity(bytes int64) *Machine {
 	return m.WithTierCapacity(0, bytes)
 }
 
-// WithNVMCapacity returns a copy of m with the given per-rank capacity on
-// the slowest tier.
-func (m *Machine) WithNVMCapacity(bytes int64) *Machine {
-	return m.WithTierCapacity(m.SlowestIdx(), bytes)
-}
-
 // WithTierCapacity returns a copy of m with tier k's per-rank capacity set.
 func (m *Machine) WithTierCapacity(k TierKind, bytes int64) *Machine {
 	c := m.clone()

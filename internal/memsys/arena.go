@@ -1,7 +1,7 @@
 // Package memsys implements the heterogeneous memory substrate the Unimem
 // runtime manages: an ordered N-tier heap (tier 0 fastest) with a real
 // free-list allocator per tier, a table of named data objects (optionally
-// partitioned into chunks), the migration mechanics that move object bytes
+// partitioned into chunks), the migration mechanics that move chunks
 // between any two tiers, and the user-level per-node coordination services
 // of the shared fast tiers — the generalization of the §3.3 DRAM service
 // (on the paper's two-tier platforms the layout is exactly the paper's:
@@ -9,10 +9,10 @@
 // rank).
 //
 // Object sizes and arena capacities are *simulated* byte counts (so Class
-// C/D footprints of many gigabytes can be modelled), while each chunk also
-// carries a real backing buffer capped at a configurable materialization
-// limit, so migrations genuinely copy bytes and kernels genuinely compute
-// on memory that has been moved.
+// C/D footprints of many gigabytes can be modelled). Chunks carry no real
+// data: a migration moves the chunk's tier reservation and counts the
+// pointer rewrite, and its cost comes from the machine's copy-time model,
+// as Quartz-style NVM emulation separates timing from storage.
 package memsys
 
 import (

@@ -1,18 +1,11 @@
 package memsys
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 
 	"unimem/internal/machine"
 )
-
-// DefaultMaterializeCap bounds the real backing bytes per chunk so that
-// multi-gigabyte simulated objects stay runnable; kernels index into the
-// materialized prefix modulo its length.
-const DefaultMaterializeCap = 1 << 20
 
 // ObjectID identifies a registered data object within one heap (rank).
 type ObjectID int
@@ -31,7 +24,6 @@ type Chunk struct {
 
 	tier   machine.TierKind
 	offset int64 // offset within the current tier's arena
-	data   []byte
 }
 
 // Tier returns the tier the chunk currently resides in.
@@ -43,38 +35,6 @@ func (c *Chunk) Name() string {
 		return c.Obj.Name
 	}
 	return fmt.Sprintf("%s[%d]", c.Obj.Name, c.Index)
-}
-
-// Data returns the chunk's current real backing bytes (the materialized
-// prefix of the simulated extent). The slice identity changes on migration,
-// mirroring the paper's pointer-rewrite semantics.
-func (c *Chunk) Data() []byte { return c.data }
-
-// LoadF64 reads the float64 at element index i of the chunk, wrapping into
-// the materialized prefix for indices beyond it.
-func (c *Chunk) LoadF64(i int64) float64 {
-	n := int64(len(c.data)) / 8
-	if n == 0 {
-		return 0
-	}
-	off := (i % n) * 8
-	if off < 0 {
-		off += int64(len(c.data))
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(c.data[off:]))
-}
-
-// StoreF64 writes the float64 at element index i, wrapping like LoadF64.
-func (c *Chunk) StoreF64(i int64, v float64) {
-	n := int64(len(c.data)) / 8
-	if n == 0 {
-		return
-	}
-	off := (i % n) * 8
-	if off < 0 {
-		off += int64(len(c.data))
-	}
-	binary.LittleEndian.PutUint64(c.data[off:], math.Float64bits(v))
 }
 
 // Object is a registered target data object (§3: allocated via
@@ -92,8 +52,6 @@ type Object struct {
 	// "unknown before the main loop" (e.g. convergence-dependent counts).
 	RefHint float64
 	Chunks  []*Chunk
-
-	heap *Heap
 }
 
 // BytesIn returns the number of the object's simulated bytes currently
@@ -107,9 +65,6 @@ func (o *Object) BytesIn(k machine.TierKind) int64 {
 	}
 	return n
 }
-
-// InDRAM reports whether the entire object resides in the fastest tier.
-func (o *Object) InDRAM() bool { return o.BytesIn(0) == o.Size }
 
 // AllocOptions configures Heap.Alloc.
 type AllocOptions struct {
@@ -151,19 +106,16 @@ type Heap struct {
 	// allocs[t] is tier t's space manager: the node's shared service where
 	// one exists, a private arena otherwise.
 	allocs []tierAlloc
-	// slowest is the private arena backing the last tier.
-	slowest *Arena
 
 	// mu guards placement state (chunk tiers/offsets, arenas, stats): the
 	// helper thread migrates chunks concurrently with the main thread
 	// reading residency.
 	mu sync.RWMutex
 
-	objects        []*Object
-	byName         map[string]*Object
-	nextSimAddr    int64
-	materializeCap int64
-	defaultChunk   int64
+	objects      []*Object
+	byName       map[string]*Object
+	nextSimAddr  int64
+	defaultChunk int64
 
 	Stats MigrationStats
 }
@@ -177,10 +129,6 @@ type tierAlloc interface {
 
 // HeapOptions configures NewHeap.
 type HeapOptions struct {
-	// MaterializeCap bounds real backing bytes per chunk
-	// (default DefaultMaterializeCap). Set to a large value in examples to
-	// make all data fully real.
-	MaterializeCap int64
 	// DefaultChunkSize is used for partitionable objects whose AllocOptions
 	// leave ChunkSize zero (default 32 MiB).
 	DefaultChunkSize int64
@@ -189,19 +137,15 @@ type HeapOptions struct {
 // NewHeap returns a heap for one rank on a node whose shared tiers are
 // coordinated by node.
 func NewHeap(m *machine.Machine, node *NodeTiers, opts HeapOptions) *Heap {
-	if opts.MaterializeCap == 0 {
-		opts.MaterializeCap = DefaultMaterializeCap
-	}
 	if opts.DefaultChunkSize == 0 {
 		opts.DefaultChunkSize = 32 << 20
 	}
 	h := &Heap{
-		Mach:           m,
-		node:           node,
-		byName:         make(map[string]*Object),
-		materializeCap: opts.MaterializeCap,
-		defaultChunk:   opts.DefaultChunkSize,
-		nextSimAddr:    1 << 12, // skip the simulated null page
+		Mach:         m,
+		node:         node,
+		byName:       make(map[string]*Object),
+		defaultChunk: opts.DefaultChunkSize,
+		nextSimAddr:  1 << 12, // skip the simulated null page
 	}
 	h.allocs = make([]tierAlloc, m.NumTiers())
 	for t := range h.allocs {
@@ -209,11 +153,7 @@ func NewHeap(m *machine.Machine, node *NodeTiers, opts HeapOptions) *Heap {
 			h.allocs[t] = svc
 			continue
 		}
-		a := NewArena(m.Tier(machine.TierKind(t)).CapacityBytes)
-		h.allocs[t] = a
-		if t == m.NumTiers()-1 {
-			h.slowest = a
-		}
+		h.allocs[t] = NewArena(m.Tier(machine.TierKind(t)).CapacityBytes)
 	}
 	h.Stats.ToTier = make([]int, m.NumTiers())
 	return h
@@ -251,7 +191,6 @@ func (h *Heap) Alloc(name string, size int64, opts AllocOptions) (*Object, error
 		Size:          size,
 		Partitionable: opts.Partitionable,
 		RefHint:       opts.RefHint,
-		heap:          h,
 	}
 	chunkSize := size
 	if opts.Partitionable {
@@ -275,11 +214,6 @@ func (h *Heap) Alloc(name string, size int64, opts AllocOptions) (*Object, error
 			SimAddr: h.nextSimAddr,
 		}
 		h.nextSimAddr += cs
-		mat := cs
-		if mat > h.materializeCap {
-			mat = h.materializeCap
-		}
-		c.data = make([]byte, mat)
 		placed := false
 		var err error
 		for k := opts.InitialTier; int(k) < h.Mach.NumTiers(); k++ {
@@ -325,7 +259,6 @@ func (h *Heap) Free(o *Object) {
 	}
 	for _, c := range o.Chunks {
 		h.release(c)
-		c.data = nil
 	}
 	delete(h.byName, o.Name)
 	for i, oo := range h.objects {
@@ -337,10 +270,11 @@ func (h *Heap) Free(o *Object) {
 }
 
 // MoveChunk migrates the chunk to tier k: reserves space in the target
-// tier, copies the real backing bytes into a fresh buffer (the pointer
-// rewrite the runtime performs on behalf of the application), and releases
-// the old reservation. It returns the simulated bytes moved (0 if already
-// resident) or ErrNoSpace if the target tier cannot hold the chunk.
+// tier, counts the pointer rewrite the runtime performs on behalf of the
+// application, and releases the old reservation. No bytes are copied: the
+// mover charges the copy's virtual time (Eq. 4). It returns
+// the simulated bytes moved (0 if already resident) or ErrNoSpace if the
+// target tier cannot hold the chunk.
 func (h *Heap) MoveChunk(c *Chunk, k machine.TierKind) (int64, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -353,11 +287,6 @@ func (h *Heap) MoveChunk(c *Chunk, k machine.TierKind) (int64, error) {
 		h.Stats.FailedNoSpace++
 		return 0, err
 	}
-	// Real copy into the new residence; the old buffer becomes garbage,
-	// which is exactly the lifetime the runtime's pointer update implies.
-	newData := make([]byte, len(c.data))
-	copy(newData, c.data)
-	c.data = newData
 	h.Stats.PointerRewrite++
 	h.allocs[oldTier].Free(oldOff, c.Size)
 	h.Stats.Migrations++
@@ -369,20 +298,6 @@ func (h *Heap) MoveChunk(c *Chunk, k machine.TierKind) (int64, error) {
 	}
 	h.Stats.ToTier[k]++
 	return c.Size, nil
-}
-
-// MoveObject migrates every chunk of the object to tier k, stopping at the
-// first failure. It returns the simulated bytes moved.
-func (h *Heap) MoveObject(o *Object, k machine.TierKind) (int64, error) {
-	var moved int64
-	for _, c := range o.Chunks {
-		n, err := h.MoveChunk(c, k)
-		moved += n
-		if err != nil {
-			return moved, err
-		}
-	}
-	return moved, nil
 }
 
 // TierOf returns the chunk's current tier under the placement lock; use it
@@ -442,20 +357,4 @@ func (h *Heap) StatsSnapshot() MigrationStats {
 	s := h.Stats
 	s.ToTier = append([]int(nil), h.Stats.ToTier...)
 	return s
-}
-
-// NVMUsed returns bytes currently allocated in this rank's private
-// slowest-tier arena.
-func (h *Heap) NVMUsed() int64 { return h.slowest.Used() }
-
-// ChunkAt returns the chunk containing the simulated address, or nil.
-func (h *Heap) ChunkAt(addr int64) *Chunk {
-	for _, o := range h.objects {
-		for _, c := range o.Chunks {
-			if addr >= c.SimAddr && addr < c.SimAddr+c.Size {
-				return c
-			}
-		}
-	}
-	return nil
 }

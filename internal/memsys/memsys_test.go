@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -233,33 +234,114 @@ func TestHeapPartitioning(t *testing.T) {
 	}
 }
 
-func TestMoveChunkRealCopy(t *testing.T) {
-	h := newTestHeap(t, 64<<20)
-	o, _ := h.Alloc("m", 1<<20, AllocOptions{InitialTier: machine.NVM})
-	c := o.Chunks[0]
-	c.StoreF64(7, 3.25)
-	oldData := c.Data()
+// tierUsed returns the bytes reserved in tier k's space manager: the
+// node's shared service or the rank's private arena.
+func tierUsed(h *Heap, k machine.TierKind) int64 {
+	return h.allocs[k].(interface{ Used() int64 }).Used()
+}
 
-	n, err := h.MoveChunk(c, machine.DRAM)
-	if err != nil || n != 1<<20 {
-		t.Fatalf("move: n=%d err=%v", n, err)
+// TestMoveChunkAccounting walks one chunk 0→2→1→1 on a three-tier heap
+// and checks, after every move, the bytes returned, every migration
+// counter and the reservations of the source and target tiers. The no-op
+// move and an ErrNoSpace move must leave all of them unchanged (apart from
+// FailedNoSpace).
+func TestMoveChunkAccounting(t *testing.T) {
+	m := machine.PlatformHBMDDRNVM()
+	h := NewHeap(m, NewNodeTiers(m), HeapOptions{})
+	const size = 8 << 20
+	o, err := h.Alloc("m", size, AllocOptions{InitialTier: 0})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c.Tier() != machine.DRAM {
-		t.Fatal("tier not updated")
+	c := o.Chunks[0]
+	if c.Tier() != 0 || tierUsed(h, 0) != size {
+		t.Fatalf("initial placement: tier %d, tier-0 used %d", c.Tier(), tierUsed(h, 0))
 	}
-	if &c.Data()[0] == &oldData[0] {
-		t.Fatal("migration must rewrite the backing pointer")
+	check := func(step string, want MigrationStats, used [3]int64) {
+		t.Helper()
+		st := h.StatsSnapshot()
+		if st.Migrations != want.Migrations || st.BytesMigrated != want.BytesMigrated ||
+			st.PointerRewrite != want.PointerRewrite || st.ToDRAM != want.ToDRAM ||
+			st.ToNVM != want.ToNVM || st.FailedNoSpace != want.FailedNoSpace {
+			t.Fatalf("%s: stats %+v, want %+v", step, st, want)
+		}
+		for k := range want.ToTier {
+			if st.ToTier[k] != want.ToTier[k] {
+				t.Fatalf("%s: per-tier arrivals %v, want %v", step, st.ToTier, want.ToTier)
+			}
+		}
+		for k, u := range used {
+			if got := tierUsed(h, machine.TierKind(k)); got != u {
+				t.Fatalf("%s: tier %d used %d, want %d", step, k, got, u)
+			}
+		}
 	}
-	if got := c.LoadF64(7); got != 3.25 {
-		t.Fatalf("data lost in migration: %v", got)
+	move := func(k machine.TierKind, wantN int64) {
+		t.Helper()
+		n, err := h.MoveChunk(c, k)
+		if err != nil || n != wantN {
+			t.Fatalf("move to %d: n=%d err=%v, want n=%d", k, n, err, wantN)
+		}
+		if c.Tier() != k {
+			t.Fatalf("move to %d left the chunk in tier %d", k, c.Tier())
+		}
 	}
-	// Idempotent move.
-	n, err = h.MoveChunk(c, machine.DRAM)
-	if n != 0 || err != nil {
-		t.Fatalf("no-op move: n=%d err=%v", n, err)
+
+	move(2, size) // demotion 0 -> 2
+	check("0->2", MigrationStats{Migrations: 1, BytesMigrated: size, PointerRewrite: 1,
+		ToNVM: 1, ToTier: []int{0, 0, 1}}, [3]int64{0, 0, size})
+
+	move(1, size) // promotion 2 -> 1
+	after21 := MigrationStats{Migrations: 2, BytesMigrated: 2 * size, PointerRewrite: 2,
+		ToDRAM: 1, ToNVM: 1, ToTier: []int{0, 1, 1}}
+	check("2->1", after21, [3]int64{0, size, 0})
+
+	move(1, 0) // already resident: no-op
+	check("1->1", after21, [3]int64{0, size, 0})
+
+	// Fill tier 0 so a promotion fails: the chunk, the counters and the
+	// reservations must stay as they were.
+	if _, err := h.Alloc("fill", m.Tier(0).CapacityBytes, AllocOptions{InitialTier: 0}); err != nil {
+		t.Fatal(err)
 	}
-	st := h.StatsSnapshot()
-	if st.Migrations != 1 || st.BytesMigrated != 1<<20 || st.ToDRAM != 1 {
+	if n, err := h.MoveChunk(c, 0); !errors.Is(err, ErrNoSpace) || n != 0 {
+		t.Fatalf("move into full tier: n=%d err=%v", n, err)
+	}
+	if c.Tier() != 1 {
+		t.Fatalf("failed move left the chunk in tier %d", c.Tier())
+	}
+	after21.FailedNoSpace = 1
+	check("failed 1->0", after21, [3]int64{m.Tier(0).CapacityBytes, size, 0})
+}
+
+// TestMoveChunkAllocatesNothing guards against per-chunk real backing: a
+// multi-GiB object and 200 migration round trips of a 32 MiB chunk must
+// cost the Go heap almost nothing, because chunk sizes are simulated.
+func TestMoveChunkAllocatesNothing(t *testing.T) {
+	h := newTestHeap(t, 64<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	o, err := h.Alloc("big", 4<<30, AllocOptions{
+		Partitionable: true, ChunkSize: 32 << 20, InitialTier: machine.NVM,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := o.Chunks[0]
+	for i := 0; i < 200; i++ {
+		if _, err := h.MoveChunk(c, machine.DRAM); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.MoveChunk(c, machine.NVM); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("allocating %d chunks and 400 moves allocated %d bytes of Go heap, want < 1 MiB",
+			len(o.Chunks), grew)
+	}
+	if st := h.StatsSnapshot(); st.Migrations != 400 || st.BytesMigrated != 400*(32<<20) {
 		t.Fatalf("stats %+v", st)
 	}
 }
@@ -284,15 +366,23 @@ func TestMoveObjectAllChunks(t *testing.T) {
 	o, _ := h.Alloc("p", 48<<20, AllocOptions{
 		Partitionable: true, ChunkSize: 16 << 20, InitialTier: machine.NVM,
 	})
-	n, err := h.MoveObject(o, machine.DRAM)
-	if err != nil || n != 48<<20 {
-		t.Fatalf("move object: n=%d err=%v", n, err)
+	var moved int64
+	for _, c := range o.Chunks {
+		n, err := h.MoveChunk(c, machine.DRAM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved += n
 	}
-	if !o.InDRAM() {
-		t.Fatal("object should be fully DRAM-resident")
+	if moved != 48<<20 {
+		t.Fatalf("moved %d bytes, want %d", moved, 48<<20)
 	}
-	if o.BytesIn(machine.NVM) != 0 {
-		t.Fatal("no bytes should remain in NVM")
+	if o.BytesIn(machine.DRAM) != o.Size || o.BytesIn(machine.NVM) != 0 {
+		t.Fatalf("object residency DRAM=%d NVM=%d, want all in DRAM",
+			o.BytesIn(machine.DRAM), o.BytesIn(machine.NVM))
+	}
+	if res := h.TierResidencyBytes(); res[machine.DRAM] != o.Size || res[machine.NVM] != 0 {
+		t.Fatalf("per-tier residency %v", res)
 	}
 }
 
@@ -311,36 +401,6 @@ func TestFreeReleasesSpace(t *testing.T) {
 	}
 	if _, err := h.Alloc("f", 1<<20, AllocOptions{}); err != nil {
 		t.Fatalf("name should be reusable after Free: %v", err)
-	}
-}
-
-func TestMaterializationCap(t *testing.T) {
-	m := machine.PlatformA()
-	h := NewHeap(m, NewNodeTiers(m), HeapOptions{MaterializeCap: 4096})
-	o, _ := h.Alloc("huge", 1<<30, AllocOptions{InitialTier: machine.NVM})
-	if len(o.Chunks[0].Data()) != 4096 {
-		t.Fatalf("materialized %d bytes, want cap 4096", len(o.Chunks[0].Data()))
-	}
-	// Loads/stores wrap into the materialized prefix.
-	c := o.Chunks[0]
-	c.StoreF64(1<<20, 9.5)
-	if c.LoadF64(1<<20) != 9.5 {
-		t.Fatal("wrapped store/load failed")
-	}
-}
-
-func TestChunkAt(t *testing.T) {
-	h := newTestHeap(t, 64<<20)
-	o1, _ := h.Alloc("a", 1<<20, AllocOptions{})
-	o2, _ := h.Alloc("b", 1<<20, AllocOptions{})
-	if h.ChunkAt(o1.Chunks[0].SimAddr) != o1.Chunks[0] {
-		t.Fatal("ChunkAt(a) wrong")
-	}
-	if h.ChunkAt(o2.Chunks[0].SimAddr+100) != o2.Chunks[0] {
-		t.Fatal("ChunkAt(b interior) wrong")
-	}
-	if h.ChunkAt(1) != nil {
-		t.Fatal("ChunkAt(null page) should be nil")
 	}
 }
 
@@ -450,8 +510,9 @@ func TestNodeTiersSharedAcrossRanks(t *testing.T) {
 	if node.Service(0).Used() != cap0 || node.Service(1).Used() != cap0 {
 		t.Fatalf("shared services wrong: %d %d", node.Service(0).Used(), node.Service(1).Used())
 	}
-	if h1.NVMUsed() != 0 || h2.NVMUsed() != 0 {
-		t.Fatalf("private slowest arenas should be empty: %d %d", h1.NVMUsed(), h2.NVMUsed())
+	slow := m.SlowestIdx()
+	if tierUsed(h1, slow) != 0 || tierUsed(h2, slow) != 0 {
+		t.Fatalf("private slowest arenas should be empty: %d %d", tierUsed(h1, slow), tierUsed(h2, slow))
 	}
 }
 

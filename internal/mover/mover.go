@@ -3,9 +3,10 @@
 // a real goroutine — that runs in parallel with the application, consuming
 // migration requests from a shared FIFO queue, and serving as the
 // synchronization point the main thread checks at the beginning of each
-// phase. The byte copies themselves are applied to the simulated heap at
-// those synchronization points, in queue order, so simulated results do
-// not depend on goroutine scheduling (see Mover's determinism contract).
+// phase. The moves themselves (tier reservation and pointer rewrite) are
+// applied to the simulated heap at those synchronization points, in queue
+// order, so simulated results do not depend on goroutine scheduling (see
+// Mover's determinism contract).
 //
 // Time accounting is in virtual nanoseconds: a migration occupies the
 // helper thread for the (fromTier, toTier) edge's copy time on the
@@ -174,8 +175,8 @@ func (m *Mover) run() {
 }
 
 // applyLocked pops pending requests with seq <= upto and applies them in
-// FIFO order: perform the real copy, advance the virtual copy timeline,
-// post the completion. Caller holds m.mu and must have waited for
+// FIFO order: move the chunk in the heap, advance the virtual copy
+// timeline by the edge's copy time, post the completion. Caller holds m.mu and must have waited for
 // recvSeq >= upto.
 func (m *Mover) applyLocked(upto uint64) {
 	for len(m.pending) > 0 && m.pending[0].seq <= upto {
@@ -277,7 +278,7 @@ func (m *Mover) Drain() {
 
 // Idle reports whether the helper thread has nothing in flight: every
 // ticket handed out has been applied to the heap and the FIFO is empty.
-// The analytic fast path requires an idle mover before fast-forwarding —
+// The steady-state fast path requires an idle mover before fast-forwarding —
 // an in-flight migration's exposed cost would otherwise be extrapolated
 // into iterations that should have absorbed it once.
 func (m *Mover) Idle() bool {

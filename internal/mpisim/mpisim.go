@@ -384,7 +384,7 @@ func (c *Comm) Alltoall(bytesPerPair int64) {
 // yes AND every rank passed an equal payload. Unlike the collectives it
 // charges no virtual time (clocks and CommNS are untouched) and does not
 // invoke the PMPI hook — it is pure control-plane agreement, the
-// primitive the analytic fast path uses to decide, in lockstep, whether
+// primitive the steady-state fast path uses to decide, in lockstep, whether
 // an iteration window may be skipped. Callers must guarantee every rank
 // reaches each Poll the same number of times (the decision to poll must
 // depend only on rank-independent state; per-rank conditions belong in

@@ -159,7 +159,7 @@ type ReprofileRecord struct {
 	Threshold float64 `json:"threshold"`
 }
 
-// FastForwardRecord is one analytic fast-forward event: a stable window
+// FastForwardRecord is one steady-state fast-forward event: a stable window
 // of iterations the harness skipped without simulation, advancing the
 // virtual clock in one step.
 type FastForwardRecord struct {
@@ -169,7 +169,7 @@ type FastForwardRecord struct {
 	// equals the workload's iteration count when the run ended inside the
 	// window).
 	ExitIter int `json:"exit_iter"`
-	// Iters is the number of iterations computed analytically.
+	// Iters is the number of iterations fast-forwarded.
 	Iters int `json:"iters"`
 	// ClockDeltaNS is the virtual time the skipped window spanned on the
 	// recorded rank.
@@ -242,7 +242,7 @@ func (e *Explain) AddReprofile(r ReprofileRecord) {
 	e.mu.Unlock()
 }
 
-// AddFastForward appends one analytic fast-forward event.
+// AddFastForward appends one steady-state fast-forward event.
 func (e *Explain) AddFastForward(entryIter, exitIter int, clockDeltaNS int64) {
 	if e == nil {
 		return

@@ -2,7 +2,7 @@ package phase
 
 import "math"
 
-// Key is a 64-bit FNV-1a digest identifying the analytic inputs of one
+// Key is a 64-bit FNV-1a digest identifying the simulation inputs of one
 // phase execution: what the phase will touch (content), where that data
 // lives (placement) and what hardware prices it (machine fingerprint).
 // Two executions with equal Keys are computed identically by the

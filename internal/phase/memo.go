@@ -1,6 +1,6 @@
 package phase
 
-// Memo is the per-run phase-outcome memo table of the analytic fast
+// Memo is the per-run phase-outcome memo table of the steady-state fast
 // path: outcomes keyed by the full PhaseKey (content x placement x
 // machine), plus per-phase-position streak tracking that measures how
 // long every position has been re-presenting the same key — the

@@ -171,7 +171,7 @@ func (r *Registry) End(durNS float64) *Info {
 }
 
 // FastForward advances the iteration counter by n without executing any
-// phases — the registry-side half of the analytic fast path, called when
+// phases — the registry-side half of the steady-state fast path, called when
 // the harness skips a stable window. It is only valid between
 // iterations (no phase open) on a sealed structure; positional matching
 // is untouched, so the next Begin continues the cycle exactly where a

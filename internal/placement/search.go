@@ -97,10 +97,6 @@ type Plan struct {
 	PredictedIterNS float64
 }
 
-// MovesPerIter returns the number of recurring migrations per iteration of
-// the steady-state schedule.
-func (p *Plan) MovesPerIter() int { return len(p.Schedule) }
-
 // baseNS returns the phase durations normalized to an all-NVM placement:
 // the profiled duration plus the benefit of every chunk that was already
 // DRAM-resident while profiling (its gain is baked into the measurement).

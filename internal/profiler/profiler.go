@@ -130,8 +130,7 @@ func nominalRefs(declared int64, size int64, llc int64, p machine.Pattern) int64
 func Validate(w *workloads.Workload, opts Options) (*Report, error) {
 	opts.fill()
 	mach := machine.PlatformA()
-	heap := memsys.NewHeap(mach, memsys.NewNodeTiers(mach),
-		memsys.HeapOptions{MaterializeCap: 4096})
+	heap := memsys.NewHeap(mach, memsys.NewNodeTiers(mach), memsys.HeapOptions{})
 	for _, os := range w.Objects {
 		if _, err := heap.Alloc(os.Name, os.Size, memsys.AllocOptions{InitialTier: mach.SlowestIdx()}); err != nil {
 			return nil, fmt.Errorf("profiler: alloc %s: %w", os.Name, err)

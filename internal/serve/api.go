@@ -424,9 +424,9 @@ type MergeJSON struct {
 // state, and per-session calibration introspection.
 type StatsResponse struct {
 	Cache unimem.CacheStats `json:"cache"`
-	// FastPath totals the analytic fast path's work across every run this
+	// FastPath totals the steady-state fast path's work across every run this
 	// process has executed: phase-memo hits/misses and simulated versus
-	// analytically computed iterations.
+	// fast-forwarded iterations.
 	FastPath unimem.FastPathStats `json:"fastpath"`
 	// InFlight gauges the run/batch/fleet handlers executing right now,
 	// read in the same critical section as Sessions so the two are

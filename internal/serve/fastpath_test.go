@@ -9,7 +9,7 @@ import (
 	"unimem/internal/serve"
 )
 
-// TestStatsAndMetricsFastPath asserts the daemon surfaces the analytic
+// TestStatsAndMetricsFastPath asserts the daemon surfaces the steady-state
 // fast path's counters on both observability endpoints: /stats carries
 // the fastpath block, and /metrics renders every unimem_fastpath_*
 // family (the scrape helper validates the whole exposition, including

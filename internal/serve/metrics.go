@@ -206,7 +206,7 @@ func newServerMetrics(s *Server, disabled bool) *serverMetrics {
 	r.GaugeFunc("unimem_pool_jobs_running",
 		"Batch jobs executing right now, across all sessions.", pool(false))
 
-	// Analytic fast-path totals (process-wide, from internal/app).
+	// Steady-state fast-path totals (process-wide, from internal/app).
 	fp := app.ReadFastPathTotals
 	r.CounterFunc("unimem_fastpath_memo_hits_total",
 		"Phase-memo hits across all executed runs.",

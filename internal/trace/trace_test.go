@@ -12,7 +12,7 @@ import (
 func chunkOfSize(t *testing.T, size int64) *memsys.Chunk {
 	t.Helper()
 	m := machine.PlatformA()
-	h := memsys.NewHeap(m, memsys.NewNodeTiers(m), memsys.HeapOptions{MaterializeCap: 4096})
+	h := memsys.NewHeap(m, memsys.NewNodeTiers(m), memsys.HeapOptions{})
 	o, err := h.Alloc("obj", size, memsys.AllocOptions{InitialTier: machine.NVM})
 	if err != nil {
 		t.Fatal(err)

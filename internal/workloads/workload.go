@@ -132,7 +132,7 @@ func (p *Phase) CommBytesAt(iter int) int64 {
 // scheduled volume, flops, skew, and the full ground-truth reference
 // list. Two iterations with equal ContentKeys for every phase present
 // identical work to the simulator (per-rank scaling is a pure function
-// of the folded skew), which is what the analytic fast path's forward
+// of the folded skew), which is what the steady-state fast path's forward
 // scan relies on to bound a stable window.
 func (p *Phase) ContentKey(iter int) phase.Key {
 	d := phase.NewDigest().

@@ -113,7 +113,7 @@ func WithCache(c *RunCache) Option {
 	return func(s *Session) { s.eng.SetCache(c) }
 }
 
-// WithExactSim disables the analytic fast path for every run the session
+// WithExactSim disables the steady-state fast path for every run the session
 // executes: each iteration is simulated event-for-event even through
 // provably steady windows. Results are byte-identical either way — the
 // fast path only engages where extrapolation is exact — so this is a
@@ -195,7 +195,7 @@ type Outcome struct {
 	// Explain is the job's decision-attribution document, snapshotted
 	// after the run when Options.Explain was set (nil otherwise).
 	Explain *ExplainDoc
-	// FastPath reports the analytic fast path's memo and fast-forward
+	// FastPath reports the steady-state fast path's memo and fast-forward
 	// counters for this job. All zeros for cache hits, strategies whose
 	// managers cannot fast-forward, or runs opted out via ExactSim.
 	FastPath FastPathStats

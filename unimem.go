@@ -9,8 +9,8 @@
 // Eq. 1-4 performance models, knapsack placement via phase-local and
 // cross-phase global search, proactive helper-thread migration) together
 // with the simulated substrate it manages: an N-tier memory hierarchy
-// with real byte backing (the paper's two-tier DRAM+NVM system as the
-// degenerate case, plus HBM/DDR/CXL/NVM presets placed by a
+// with simulated capacities and copy costs (the paper's two-tier DRAM+NVM
+// system as the degenerate case, plus HBM/DDR/CXL/NVM presets placed by a
 // multiple-choice knapsack), an MPI-like world of goroutine ranks with
 // virtual clocks, emulated sampling performance counters, the NPB/Nek5000
 // evaluation workloads, the X-Mem baseline, and a harness that
@@ -132,8 +132,8 @@ type Workload = workloads.Workload
 // migration statistics, phase profile.
 type Result = app.Result
 
-// Options configures a run (world size, seed, materialization cap,
-// optional trace recorder).
+// Options configures a run (world size, seed, chunk size, optional
+// trace recorder).
 type Options = app.Options
 
 // Trace is a per-run span recorder: attach one via Options.Trace (or
@@ -171,14 +171,14 @@ type MigrationRecord = obs.MigrationRecord
 // RegretRecord is an ExplainDoc's realized-vs-oracle regret figure.
 type RegretRecord = obs.RegretRecord
 
-// FastForwardRecord is one analytic fast-forward episode within an
+// FastForwardRecord is one steady-state fast-forward episode within an
 // ExplainDoc: the iteration window skipped and the virtual time it
 // advanced in one step.
 type FastForwardRecord = obs.FastForwardRecord
 
-// FastPathStats summarizes the analytic fast path's work in one run:
+// FastPathStats summarizes the steady-state fast path's work in one run:
 // phase-memo hits and misses, and how many iterations were simulated
-// event-for-event versus computed analytically (see Outcome.FastPath and
+// event-for-event versus fast-forwarded (see Outcome.FastPath and
 // WithExactSim).
 type FastPathStats = app.FastPathStats
 
